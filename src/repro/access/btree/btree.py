@@ -532,17 +532,7 @@ class BTree(TraceSupport, AccessMethod):
         raise BadFileError("btree deeper than 64 levels (cycle?)")
 
     def get(self, key: bytes) -> bytes | None:
-        if self.tracer.enabled:
-            return self._traced_op("get", self._h_get, self._rd, self._get_impl, key)
-        with self._rd:
-            clock = self._clock
-            if clock is None:
-                return self._get_impl(key)
-            t0 = clock()
-            try:
-                return self._get_impl(key)
-            finally:
-                self._h_get.observe(clock() - t0)
+        return self._op("get", self._h_get, self._rd, self._get_impl, key)
 
     def _bump_gets(self) -> None:
         # the one counter bumped under a shared lock (+= is not atomic)
@@ -567,19 +557,7 @@ class BTree(TraceSupport, AccessMethod):
     # ----------------------------------------------------------------- insert
 
     def _put(self, key: bytes, data: bytes, replace: bool) -> int:
-        if self.tracer.enabled:
-            return self._traced_op(
-                "put", self._h_put, self._wr, self._put_impl, key, data, replace
-            )
-        with self._wr:
-            clock = self._clock
-            if clock is None:
-                return self._put_impl(key, data, replace)
-            t0 = clock()
-            try:
-                return self._put_impl(key, data, replace)
-            finally:
-                self._h_put.observe(clock() - t0)
+        return self._op("put", self._h_put, self._wr, self._put_impl, key, data, replace)
 
     def _put_impl(self, key: bytes, data: bytes, replace: bool = True) -> int:
         self._check_writable()
@@ -752,19 +730,7 @@ class BTree(TraceSupport, AccessMethod):
     # ----------------------------------------------------------------- delete
 
     def delete(self, key: bytes) -> int:
-        if self.tracer.enabled:
-            return self._traced_op(
-                "delete", self._h_delete, self._wr, self._delete_impl, key
-            )
-        with self._wr:
-            clock = self._clock
-            if clock is None:
-                return self._delete_impl(key)
-            t0 = clock()
-            try:
-                return self._delete_impl(key)
-            finally:
-                self._h_delete.observe(clock() - t0)
+        return self._op("delete", self._h_delete, self._wr, self._delete_impl, key)
 
     def _delete_impl(self, key: bytes) -> int:
         self._check_writable()
@@ -947,12 +913,7 @@ class BTree(TraceSupport, AccessMethod):
             raise TransactionError(
                 "compact() inside an open transaction; commit or abort first"
             )
-        span = self.tracer.start("compact") if self.tracer.enabled else None
-        try:
-            report = self._compact_impl()
-        finally:
-            if span is not None:
-                self.tracer.end(span)
+        report = self._op("compact", None, NULL_GUARD, self._compact_impl)
         if self.hooks.on_compact:
             self.hooks.emit("on_compact", dict(report))
         return report
@@ -1050,11 +1011,7 @@ class BTree(TraceSupport, AccessMethod):
         shared flush-before-sync ordering (see docs/STORAGE.md).  In WAL
         mode this is a full checkpoint and raises
         :class:`TransactionError` inside an open transaction."""
-        if self.tracer.enabled:
-            self._traced_op("sync", None, self._wr, self._sync_impl)
-            return
-        with self._wr:
-            self._sync_impl()
+        self._op("sync", None, self._wr, self._sync_impl)
 
     def _sync_impl(self) -> None:
         self._check_open()
@@ -1231,13 +1188,10 @@ class BTreeCursor(Cursor):
         return leaf, slot, exact
 
     def _step(self, name: str, fn, *args):
-        """Run one cursor movement under the read lock, as a root span
-        when the tree's tracer is on."""
+        """Run one cursor movement through the tree's op gate (read
+        lock; a root span when tracing is on)."""
         t = self.tree
-        if t.tracer.enabled:
-            return t._traced_op(name, None, t._rd, fn, *args)
-        with t._rd:
-            return fn(*args)
+        return t._op(name, None, t._rd, fn, *args)
 
     def first(self):
         return self._step("cursor_first", self._first_impl)

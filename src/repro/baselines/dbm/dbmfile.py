@@ -184,10 +184,7 @@ class DbmFile(TraceSupport):
     # -- operations ------------------------------------------------------------------
 
     def fetch(self, key: bytes) -> bytes | None:
-        if self.tracer.enabled:
-            return self._traced_op("get", None, self._guard, self._fetch_impl, key)
-        with self._guard:
-            return self._fetch_impl(key)
+        return self._op("get", None, self._guard, self._fetch_impl, key)
 
     def _fetch_impl(self, key: bytes) -> bytes | None:
         self._check_open()
@@ -204,12 +201,7 @@ class DbmFile(TraceSupport):
         Raises :class:`DbmError` for the algorithm's inherent failures
         (oversized pair, unsplittable collisions).
         """
-        if self.tracer.enabled:
-            return self._traced_op(
-                "put", None, self._guard, self._store_impl, key, data, replace
-            )
-        with self._guard:
-            return self._store_impl(key, data, replace)
+        return self._op("put", None, self._guard, self._store_impl, key, data, replace)
 
     def _store_impl(self, key: bytes, data: bytes, replace: bool) -> bool:
         self._check_writable()
@@ -268,10 +260,7 @@ class DbmFile(TraceSupport):
             self.bitmap.maxbuck = buddy
 
     def delete(self, key: bytes) -> bool:
-        if self.tracer.enabled:
-            return self._traced_op("delete", None, self._guard, self._delete_impl, key)
-        with self._guard:
-            return self._delete_impl(key)
+        return self._op("delete", None, self._guard, self._delete_impl, key)
 
     def _delete_impl(self, key: bytes) -> bool:
         self._check_writable()
@@ -321,11 +310,7 @@ class DbmFile(TraceSupport):
         """Flush-before-sync: dirty block first, then the ``.dir`` bitmap,
         then one fsync of the ``.pag`` file (same ordering as the hash and
         btree access methods: data pages, metadata, fsync)."""
-        if self.tracer.enabled:
-            self._traced_op("sync", None, self._guard, self._sync_impl)
-            return
-        with self._guard:
-            self._sync_impl()
+        self._op("sync", None, self._guard, self._sync_impl)
 
     def _sync_impl(self) -> None:
         self._check_open()

@@ -172,10 +172,7 @@ class Sdbm(TraceSupport):
     # -- operations -------------------------------------------------------------------
 
     def fetch(self, key: bytes) -> bytes | None:
-        if self.tracer.enabled:
-            return self._traced_op("get", None, self._guard, self._fetch_impl, key)
-        with self._guard:
-            return self._fetch_impl(key)
+        return self._op("get", None, self._guard, self._fetch_impl, key)
 
     def _fetch_impl(self, key: bytes) -> bytes | None:
         self._check_open()
@@ -187,12 +184,7 @@ class Sdbm(TraceSupport):
         return view.get_pair(i)[1]
 
     def store(self, key: bytes, data: bytes, *, replace: bool = True) -> bool:
-        if self.tracer.enabled:
-            return self._traced_op(
-                "put", None, self._guard, self._store_impl, key, data, replace
-            )
-        with self._guard:
-            return self._store_impl(key, data, replace)
+        return self._op("put", None, self._guard, self._store_impl, key, data, replace)
 
     def _store_impl(self, key: bytes, data: bytes, replace: bool) -> bool:
         self._check_writable()
@@ -250,10 +242,7 @@ class Sdbm(TraceSupport):
             self.trie.maxbuck = buddy
 
     def delete(self, key: bytes) -> bool:
-        if self.tracer.enabled:
-            return self._traced_op("delete", None, self._guard, self._delete_impl, key)
-        with self._guard:
-            return self._delete_impl(key)
+        return self._op("delete", None, self._guard, self._delete_impl, key)
 
     def _delete_impl(self, key: bytes) -> bool:
         self._check_writable()
@@ -302,11 +291,7 @@ class Sdbm(TraceSupport):
         """Flush-before-sync: dirty block, then the ``.dir`` trie, then one
         fsync of the ``.pag`` file (the ordering shared by every disk
         format in this repo)."""
-        if self.tracer.enabled:
-            self._traced_op("sync", None, self._guard, self._sync_impl)
-            return
-        with self._guard:
-            self._sync_impl()
+        self._op("sync", None, self._guard, self._sync_impl)
 
     def _sync_impl(self) -> None:
         self._check_open()

@@ -283,12 +283,6 @@ class HashTable(TraceSupport):
         self._h_put = _ops.histogram("put")
         self._h_delete = _ops.histogram("delete")
         self._h_split = _ops.histogram("split")
-        # batch-op histograms are created lazily on first use, keeping the
-        # metrics-tree shape of batch-free workloads identical to before
-        self._h_put_many = None
-        self._h_get_many = None
-        self._h_delete_many = None
-        self._h_merge = None
         self._clock = time.perf_counter if observability else None
         # Page-I/O trace events piggyback on the file's callback slot; the
         # storage layer stays ignorant of the hook machinery.  The slot is
@@ -679,19 +673,7 @@ class HashTable(TraceSupport):
 
     def get(self, key: bytes, default: bytes | None = None) -> bytes | None:
         """Value stored under ``key``, or ``default`` if absent."""
-        if self.tracer.enabled:
-            return self._traced_op(
-                "get", self._h_get, self._rd, self._get_impl, key, default
-            )
-        with self._rd:
-            clock = self._clock
-            if clock is None:
-                return self._get_impl(key, default)
-            t0 = clock()
-            try:
-                return self._get_impl(key, default)
-            finally:
-                self._h_get.observe(clock() - t0)
+        return self._op("get", self._h_get, self._rd, self._get_impl, key, default)
 
     def _get_impl(
         self,
@@ -792,27 +774,14 @@ class HashTable(TraceSupport):
         is returned (ndbm's DBM_INSERT semantics).  Inserts never fail for
         size or collision reasons -- the paper's headline guarantee.
         """
-        if self.tracer.enabled:
-            return self._traced_op(
-                "put", self._h_put, self._wr, self._put_impl, key, data,
-                replace=replace,
-            )
-        with self._wr:
-            clock = self._clock
-            if clock is None:
-                return self._put_impl(key, data, replace=replace)
-            t0 = clock()
-            try:
-                return self._put_impl(key, data, replace=replace)
-            finally:
-                self._h_put.observe(clock() - t0)
+        return self._op("put", self._h_put, self._wr, self._put_impl, key, data, replace)
 
     def _put_impl(
         self,
         key: bytes,
         data: bytes,
-        *,
         replace: bool = True,
+        *,
         _hash: int | None = None,
     ) -> bool:
         self._check_writable()
@@ -903,19 +872,7 @@ class HashTable(TraceSupport):
         bucket is merged back into its buddy and its page is freed for
         reuse (see :meth:`_contract_table`).
         """
-        if self.tracer.enabled:
-            return self._traced_op(
-                "delete", self._h_delete, self._wr, self._delete_impl, key
-            )
-        with self._wr:
-            clock = self._clock
-            if clock is None:
-                return self._delete_impl(key)
-            t0 = clock()
-            try:
-                return self._delete_impl(key)
-            finally:
-                self._h_delete.observe(clock() - t0)
+        return self._op("delete", self._h_delete, self._wr, self._delete_impl, key)
 
     def _delete_impl(self, key: bytes, *, _hash: int | None = None) -> bool:
         self._check_writable()
@@ -959,13 +916,6 @@ class HashTable(TraceSupport):
             groups.setdefault(bucket_of(h), []).append(i)
         return groups
 
-    def _batch_span(self, name: str, n: int, ngroups: int):
-        """One aggregate span for a whole batch (or None, tracing off)."""
-        tracer = self.tracer
-        if not tracer.enabled:
-            return None
-        return tracer.start(name, attrs={"n": n, "groups": ngroups})
-
     def put_many(self, items, *, replace: bool = True) -> int:
         """Store many ``(key, data)`` pairs; returns how many were stored.
 
@@ -973,7 +923,9 @@ class HashTable(TraceSupport):
         operations hit hot buffers; under ``concurrent=True`` the write
         lock is taken once per bucket group -- O(groups), not O(N) --
         and tracing emits one aggregate ``put_many`` span for the whole
-        batch instead of a span per pair.
+        batch instead of a span per pair.  The gate takes no lock for a
+        batch op, and the ``ops.<batch op>`` histogram is created on
+        first use, so batch-free workloads keep their metrics-tree shape.
         """
         pairs = [
             (self._as_bytes(k, "key"), self._as_bytes(d, "value"))
@@ -981,26 +933,20 @@ class HashTable(TraceSupport):
         ]
         hashes = [self._hash(k) for k, _d in pairs]
         groups = self._group_by_bucket(hashes)
-        span = self._batch_span("put_many", len(pairs), len(groups))
-        clock = self._clock
-        t0 = clock() if clock is not None else None
+        return self._op(
+            "put_many", self._ops.histogram("put_many"), NULL_GUARD,
+            self._put_many_impl, pairs, hashes, groups, replace,
+        )
+
+    def _put_many_impl(self, pairs, hashes, groups, replace) -> int:
+        self.tracer.annotate(n=len(pairs), groups=len(groups))
         stored = 0
-        try:
-            for idxs in groups.values():
-                with self._wr:
-                    for i in idxs:
-                        key, data = pairs[i]
-                        if self._put_impl(
-                            key, data, replace=replace, _hash=hashes[i]
-                        ):
-                            stored += 1
-        finally:
-            if t0 is not None:
-                if self._h_put_many is None:
-                    self._h_put_many = self._ops.histogram("put_many")
-                self._h_put_many.observe(clock() - t0)
-            if span is not None:
-                self.tracer.end(span)
+        for idxs in groups.values():
+            with self._wr:
+                for i in idxs:
+                    key, data = pairs[i]
+                    if self._put_impl(key, data, replace=replace, _hash=hashes[i]):
+                        stored += 1
         return stored
 
     def get_many(self, keys, default: bytes | None = None) -> list:
@@ -1013,31 +959,25 @@ class HashTable(TraceSupport):
         keys_b = [self._as_bytes(k, "key") for k in keys]
         hashes = [self._hash(k) for k in keys_b]
         groups = self._group_by_bucket(hashes)
+        return self._op(
+            "get_many", self._ops.histogram("get_many"), NULL_GUARD,
+            self._get_many_impl, keys_b, hashes, groups, default,
+        )
+
+    def _get_many_impl(self, keys_b, hashes, groups, default) -> list:
+        self.tracer.annotate(n=len(keys_b), groups=len(groups))
         out: list = [default] * len(keys_b)
-        span = self._batch_span("get_many", len(keys_b), len(groups))
-        clock = self._clock
-        t0 = clock() if clock is not None else None
-        try:
-            for idxs in groups.values():
-                with self._rd:
-                    self._check_open()
-                    self.stats.bump_gets(len(idxs))
-                    # Recompute buckets under the lock: a split between
-                    # grouping and locking may have rehomed some keys.
-                    actual: dict[int, list[int]] = {}
-                    for i in idxs:
-                        actual.setdefault(
-                            self._bucket_of_hash(hashes[i]), []
-                        ).append(i)
-                    for bucket, ids in actual.items():
-                        self._lookup_chain(bucket, ids, keys_b, out)
-        finally:
-            if t0 is not None:
-                if self._h_get_many is None:
-                    self._h_get_many = self._ops.histogram("get_many")
-                self._h_get_many.observe(clock() - t0)
-            if span is not None:
-                self.tracer.end(span)
+        for idxs in groups.values():
+            with self._rd:
+                self._check_open()
+                self.stats.bump_gets(len(idxs))
+                # Recompute buckets under the lock: a split between
+                # grouping and locking may have rehomed some keys.
+                actual: dict[int, list[int]] = {}
+                for i in idxs:
+                    actual.setdefault(self._bucket_of_hash(hashes[i]), []).append(i)
+                for bucket, ids in actual.items():
+                    self._lookup_chain(bucket, ids, keys_b, out)
         return out
 
     def _lookup_chain(
@@ -1098,23 +1038,19 @@ class HashTable(TraceSupport):
         keys_b = [self._as_bytes(k, "key") for k in keys]
         hashes = [self._hash(k) for k in keys_b]
         groups = self._group_by_bucket(hashes)
-        span = self._batch_span("delete_many", len(keys_b), len(groups))
-        clock = self._clock
-        t0 = clock() if clock is not None else None
+        return self._op(
+            "delete_many", self._ops.histogram("delete_many"), NULL_GUARD,
+            self._delete_many_impl, keys_b, hashes, groups,
+        )
+
+    def _delete_many_impl(self, keys_b, hashes, groups) -> int:
+        self.tracer.annotate(n=len(keys_b), groups=len(groups))
         removed = 0
-        try:
-            for idxs in groups.values():
-                with self._wr:
-                    for i in idxs:
-                        if self._delete_impl(keys_b[i], _hash=hashes[i]):
-                            removed += 1
-        finally:
-            if t0 is not None:
-                if self._h_delete_many is None:
-                    self._h_delete_many = self._ops.histogram("delete_many")
-                self._h_delete_many.observe(clock() - t0)
-            if span is not None:
-                self.tracer.end(span)
+        for idxs in groups.values():
+            with self._wr:
+                for i in idxs:
+                    if self._delete_impl(keys_b[i], _hash=hashes[i]):
+                        removed += 1
         return removed
 
     # ------------------------------------------------------------- bulk load
@@ -1134,12 +1070,7 @@ class HashTable(TraceSupport):
         use :meth:`put_many` to feed a populated table.  Returns the
         number of pairs stored.
         """
-        if self.tracer.enabled:
-            return self._traced_op(
-                "bulk_load", None, self._wr, self._bulk_load_impl, items, nelem
-            )
-        with self._wr:
-            return self._bulk_load_impl(items, nelem)
+        return self._op("bulk_load", None, self._wr, self._bulk_load_impl, items, nelem)
 
     def _bulk_load_impl(self, items, nelem: int | None) -> int:
         self._check_writable()
@@ -1406,9 +1337,8 @@ class HashTable(TraceSupport):
                 self._bucket_of(full_key), oaddr, klen, dlen, full_key
             )
         if t0 is not None:
-            if self._h_merge is None:
-                self._h_merge = self._ops.histogram("merge")
-            self._h_merge.observe(clock() - t0)
+            # created on the first merge, like the batch-op histograms
+            self._ops.histogram("merge").observe(clock() - t0)
         hooks = self.hooks
         if page_freed and hooks.on_free:
             hooks.emit("on_free", {"pageno": freed_page, "kind": "bucket"})
@@ -1584,11 +1514,7 @@ class HashTable(TraceSupport):
         one group sync.  In WAL mode this is a full checkpoint (commit
         the implicit transaction, transfer, truncate the log), and
         raises :class:`TransactionError` inside an open transaction."""
-        if self.tracer.enabled:
-            self._traced_op("sync", None, self._wr, self._sync_impl)
-            return
-        with self._wr:
-            self._sync_impl()
+        self._op("sync", None, self._wr, self._sync_impl)
 
     def _sync_impl(self) -> None:
         self._check_open()
@@ -1645,14 +1571,7 @@ class HashTable(TraceSupport):
             raise TransactionError(
                 "compact() inside an open transaction; commit or abort first"
             )
-        span = (
-            self.tracer.start("compact") if self.tracer.enabled else None
-        )
-        try:
-            report = self._compact_impl()
-        finally:
-            if span is not None:
-                self.tracer.end(span)
+        report = self._op("compact", None, NULL_GUARD, self._compact_impl)
         if self.hooks.on_compact:
             self.hooks.emit("on_compact", dict(report))
         return report
@@ -1907,9 +1826,9 @@ class HashTable(TraceSupport):
             with self._rd:
                 self._check_invariants_impl()
         except AssertionError:
-            # a failed check is exactly when the event tail matters
-            if self.tracer.enabled:
-                self.tracer.recorder.auto_dump("check_failure")
+            # a failed check is exactly when the event tail matters (an
+            # untraced recorder has no dump path: the dump is a no-op)
+            self.tracer.recorder.auto_dump("check_failure")
             raise
 
     def _check_invariants_impl(self) -> None:
@@ -1972,10 +1891,7 @@ class TableCursor:
     def first(self) -> tuple[bytes, bytes] | None:
         """(Re)position at the first pair; None if the table is empty."""
         t = self.table
-        if t.tracer.enabled:
-            return t._traced_op("cursor_first", None, t._rd, self._first_impl)
-        with t._rd:
-            return self._first_impl()
+        return t._op("cursor_first", None, t._rd, self._first_impl)
 
     def _first_impl(self) -> tuple[bytes, bytes] | None:
         self.table._check_open()
@@ -1988,10 +1904,7 @@ class TableCursor:
         """The pair after the current one; starts at :meth:`first` if
         unpositioned; None (forever) once exhausted."""
         t = self.table
-        if t.tracer.enabled:
-            return t._traced_op("cursor_next", None, t._rd, self._next_impl)
-        with t._rd:
-            return self._next_impl()
+        return t._op("cursor_next", None, t._rd, self._next_impl)
 
     def _next_impl(self) -> tuple[bytes, bytes] | None:
         self.table._check_open()

@@ -2,18 +2,19 @@
 
 The metrics registry answers "how much" and the trace hooks answer "that
 it happened"; this module answers **why this operation was slow**.  Every
-public database operation (``get``/``put``/``delete``/cursor step/
-``sync``/``open``) opens a root :class:`Span`, and every nested event the
-engine emits while that operation runs -- buffer hit/miss, page
-read/write, overflow-page hop, split, big-pair segment, lock wait, fault
-injection -- attaches as a child with monotonic timestamps.  A single
-slow ``get`` therefore decomposes into its exact chain of page I/Os and
-lock waits.
+public database operation (``get``/``put``/``delete``/batch op/cursor
+step/``sync``/``compact``/``open``) opens a root :class:`Span`, and
+every nested event the engine emits while that operation runs --
+buffer hit/miss, page read/write, overflow-page hop, split, big-pair
+segment, lock wait, fault injection -- attaches as a child with
+monotonic timestamps.  A single slow ``get`` therefore decomposes into
+its exact chain of page I/Os and lock waits.
 
 Design constraints (mirroring the rest of :mod:`repro.obs`):
 
-- **default-off costs one predicate**: engines guard every trace call on
-  ``tracer.enabled``, and the nested events reuse the existing
+- **default-off costs one predicate**: every public op runs through
+  :meth:`TraceSupport._op`, the one place that tests ``tracer.enabled``,
+  and the nested events reuse the existing
   :class:`~repro.obs.hooks.TraceHooks` emit points, which already guard
   on their subscriber lists.  A table that never calls
   ``enable_tracing()`` pays one attribute load + truth test per op.
@@ -396,6 +397,14 @@ class Tracer:
         closed; pair with :meth:`close_span`."""
         return _AttachContext(self, span)
 
+    def annotate(self, **attrs) -> None:
+        """Merge ``attrs`` into the calling thread's current span (no-op
+        with tracing off or no span open)."""
+        if self.enabled:
+            span = self.current_span()
+            if span is not None:
+                span.attrs.update(attrs)
+
     def span(self, name: str, cat: str = "op", **attrs) -> _SpanContext:
         """``with tracer.span("get"):`` -- start/end as a context manager."""
         return _SpanContext(self, self.start(name, cat, attrs or None))
@@ -465,15 +474,22 @@ class TraceSupport:
 
     The host class provides ``hooks`` (a :class:`~repro.obs.hooks.TraceHooks`),
     ``concurrent`` (bool), ``_file`` (its pager, for the default dump
-    path), optionally ``_clock`` (the histogram clock), and op wrappers
-    that branch to :meth:`_traced_op` when ``self.tracer.enabled``.  Call
-    :meth:`_init_tracing` during construction; it leaves a disabled
-    tracer in place so the guard is one attribute load + truth test.
+    path) and optionally ``_clock`` (the histogram clock; ``None`` keeps
+    latency histograms off).  Call :meth:`_init_tracing` during
+    construction; it leaves a disabled tracer in place.
+
+    Every public op runs through one gate, :meth:`_op`: lock, latency
+    histogram, root span and crash dump live there and nowhere else, so
+    a traced and an untraced op differ only in the span.  The op itself
+    stays a plain class-level method that calls the gate (instrumentation
+    that wraps methods on the class keeps seeing every call).
 
     Engines with extra emit points feed them through the two event
     adapters: ``_lock_wait_event`` (install as ``RWLock.wait_hook``) and
     ``_fault_event`` (install as ``FaultyPager.on_fault``).
     """
+
+    _clock = None
 
     def _init_tracing(self) -> None:
         self.tracer = Tracer(enabled=False)
@@ -600,28 +616,42 @@ class TraceSupport:
             "open", t_open, time.perf_counter() - t_open, "op", {"how": how}
         )
 
-    # -- the traced op wrapper ---------------------------------------------------
+    # -- the op gate ------------------------------------------------------------
 
-    def _traced_op(self, name: str, hist, guard, fn, *args, **kwargs):
-        """Run ``fn`` under ``guard`` inside a root span named ``name``.
+    def _op(self, name: str, hist, guard, fn, *args):
+        """Run one public op: ``fn(*args)`` under ``guard``.
 
-        The span opens *before* the engine lock so a contended
-        acquisition shows up as a ``lock_wait`` child of this op (the
-        lock's wait hook fires between span start and ``fn``).  A raising
-        op marks the span, auto-dumps the flight recorder once, and
-        re-raises.
+        With tracing off this is the lock plus, when the host has a
+        ``_clock``, a latency sample in ``hist`` (``None`` = no
+        histogram).  With tracing on, a root span named ``name`` opens
+        *before* the lock, so a contended acquisition shows up as a
+        ``lock_wait`` child; the span's duration is the latency sample.
+        A raising op is sampled too, marks its span ``error``,
+        auto-dumps the flight recorder once, and re-raises.
         """
         tracer = self.tracer
+        clock = self._clock if hist is not None else None
+        if not tracer.enabled:
+            with guard:
+                if clock is None:
+                    return fn(*args)
+                t0 = clock()
+                try:
+                    return fn(*args)
+                finally:
+                    hist.observe(clock() - t0)
         span = tracer.start(name, "op")
         try:
             with guard:
-                result = fn(*args, **kwargs)
+                result = fn(*args)
         except BaseException as exc:
             span.attrs["error"] = type(exc).__name__
             tracer.end(span)
+            if clock is not None:
+                hist.observe(span.t1 - span.t0)
             tracer.recorder.auto_dump(f"exception:{type(exc).__name__}")
             raise
         tracer.end(span)
-        if hist is not None and getattr(self, "_clock", None) is not None:
+        if clock is not None:
             hist.observe(span.t1 - span.t0)
         return result

@@ -592,62 +592,49 @@ class ShardedTable(AccessMethod):
             new["attrs"] = attrs
             tracer.recorder.record(new)
 
-    def _router_span(self, name: str, **attrs):
-        if not self.tracer.enabled:
-            return None
-        return self.tracer.start("shard." + name, "router", attrs or None)
-
-    def _end_span(self, span, error: BaseException | None = None) -> None:
-        if span is None:
-            return
-        if error is not None:
-            span.attrs["error"] = type(error).__name__
-        self.tracer.end(span)
+    def _routed(self, name: str, attrs: dict | None, dispatch, *args):
+        """Run ``dispatch(*args)`` (:meth:`_call`, :meth:`_call_many` or
+        :meth:`_broadcast`) as one router op.  With tracing on it runs
+        inside a ``shard.<name>`` span handed down as ``span=`` so worker
+        records graft under it; a raising dispatch marks the span
+        ``error`` and auto-dumps the router's recorder once -- the
+        router's side of the engines' op gate, minus lock and histogram
+        (the router has neither)."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            return dispatch(*args)
+        span = tracer.start("shard." + name, "router", attrs)
+        try:
+            result = dispatch(*args, span=span)
+        except BaseException as exc:
+            span.attrs["error"] = type(exc).__name__
+            tracer.end(span)
+            tracer.recorder.auto_dump(f"exception:{type(exc).__name__}")
+            raise
+        tracer.end(span)
+        return result
 
     # -- db(3) single ops --------------------------------------------------------
 
     def get(self, key: bytes) -> bytes | None:
         key = _to_bytes(key)
-        span = self._router_span("get")
-        try:
-            value = self._call(self.shard_of(key), "get", (key,), span)
-        except BaseException as exc:
-            self._end_span(span, exc)
-            raise
-        self._end_span(span)
-        return value
+        return self._routed("get", None, self._call, self.shard_of(key), "get", (key,))
 
     def _put(self, key: bytes, data: bytes, replace: bool) -> int:
         self._check_writable()
-        span = self._router_span("put")
-        try:
-            stored = self._call(
-                self.shard_of(key),
-                "put",
-                (key, data, replace, self._implicit_txn()),
-                span,
-            )
-        except BaseException as exc:
-            self._end_span(span, exc)
-            raise
-        self._end_span(span)
+        stored = self._routed(
+            "put", None, self._call, self.shard_of(key), "put",
+            (key, data, replace, self._implicit_txn()),
+        )
         return 0 if stored else 1
 
     def delete(self, key: bytes) -> int:
         key = _to_bytes(key)
         self._check_writable()
-        span = self._router_span("delete")
-        try:
-            found = self._call(
-                self.shard_of(key),
-                "delete",
-                (key, self._implicit_txn()),
-                span,
-            )
-        except BaseException as exc:
-            self._end_span(span, exc)
-            raise
-        self._end_span(span)
+        found = self._routed(
+            "delete", None, self._call, self.shard_of(key), "delete",
+            (key, self._implicit_txn()),
+        )
         return 0 if found else 1
 
     def _check_writable(self) -> None:
@@ -664,18 +651,12 @@ class ShardedTable(AccessMethod):
             return 0
         groups = self._split_keys([k for k, _ in pairs])
         txn = self._implicit_txn()
-        span = self._router_span("put_many", ops=len(pairs), shards=len(groups))
         calls = [
             (idx, "put_many", ([pairs[p] for p in positions], replace, txn))
             for idx, positions in groups.items()
         ]
-        try:
-            results = self._call_many(calls, span)
-        except BaseException as exc:
-            self._end_span(span, exc)
-            raise
-        self._end_span(span)
-        return sum(results.values())
+        attrs = {"ops": len(pairs), "shards": len(groups)}
+        return sum(self._routed("put_many", attrs, self._call_many, calls).values())
 
     def get_many(self, keys, default: bytes | None = None) -> list:
         self._check_open()
@@ -683,17 +664,12 @@ class ShardedTable(AccessMethod):
         if not keys:
             return []
         groups = self._split_keys(keys)
-        span = self._router_span("get_many", ops=len(keys), shards=len(groups))
         calls = [
             (idx, "get_many", ([keys[p] for p in positions], default))
             for idx, positions in groups.items()
         ]
-        try:
-            results = self._call_many(calls, span)
-        except BaseException as exc:
-            self._end_span(span, exc)
-            raise
-        self._end_span(span)
+        attrs = {"ops": len(keys), "shards": len(groups)}
+        results = self._routed("get_many", attrs, self._call_many, calls)
         out = [default] * len(keys)
         for idx, positions in groups.items():
             for pos, value in zip(positions, results[idx]):
@@ -707,18 +683,12 @@ class ShardedTable(AccessMethod):
             return 0
         groups = self._split_keys(keys)
         txn = self._implicit_txn()
-        span = self._router_span("delete_many", ops=len(keys), shards=len(groups))
         calls = [
             (idx, "delete_many", ([keys[p] for p in positions], txn))
             for idx, positions in groups.items()
         ]
-        try:
-            results = self._call_many(calls, span)
-        except BaseException as exc:
-            self._end_span(span, exc)
-            raise
-        self._end_span(span)
-        return sum(results.values())
+        attrs = {"ops": len(keys), "shards": len(groups)}
+        return sum(self._routed("delete_many", attrs, self._call_many, calls).values())
 
     def bulk_load(self, items, *, nelem: int | None = None) -> int:
         """Presized, zero-split load fanned out to every shard (each
@@ -729,18 +699,12 @@ class ShardedTable(AccessMethod):
         per_shard = (
             max(1, -(-nelem // self.nshards)) if nelem is not None else None
         )
-        span = self._router_span("bulk_load", ops=len(pairs))
         calls = [
             (idx, "bulk_load", ([pairs[p] for p in positions], per_shard))
             for idx, positions in groups.items()
         ]
-        try:
-            results = self._call_many(calls, span)
-        except BaseException as exc:
-            self._end_span(span, exc)
-            raise
-        self._end_span(span)
-        return sum(results.values())
+        attrs = {"ops": len(pairs)}
+        return sum(self._routed("bulk_load", attrs, self._call_many, calls).values())
 
     def _implicit_txn(self) -> bool:
         """Should a worker wrap this batch in its own transaction?  Yes
@@ -818,13 +782,7 @@ class ShardedTable(AccessMethod):
         self._check_open()
         if self._in_txn:
             raise TransactionError("compact() inside an open transaction")
-        span = self._router_span("compact")
-        try:
-            reports = self._broadcast("compact", span=span)
-        except BaseException as exc:
-            self._end_span(span, exc)
-            raise
-        self._end_span(span)
+        reports = self._routed("compact", None, self._broadcast, "compact")
         merged = {
             "before": {"pages": 0, "bytes": 0},
             "after": {"pages": 0, "bytes": 0},
@@ -855,13 +813,7 @@ class ShardedTable(AccessMethod):
         min/maxed -- :func:`repro.obs.merge.merge_stat_trees`) plus a
         ``sharding`` section with the router's own counters and a
         per-shard occupancy summary."""
-        span = self._router_span("stat")
-        try:
-            trees = self._broadcast("stat", span=span)
-        except BaseException as exc:
-            self._end_span(span, exc)
-            raise
-        self._end_span(span)
+        trees = self._routed("stat", None, self._broadcast, "stat")
         ordered = [trees[i] for i in range(self.nshards)]
         merged = merge_stat_trees(ordered)
         merged["type"] = "hash"

@@ -9,6 +9,11 @@ import threading
 
 import pytest
 
+import repro
+from repro.baselines.dbm import DbmFile
+from repro.baselines.gdbm import Gdbm
+from repro.baselines.sdbm import Sdbm
+from repro.core.errors import ReadOnlyError
 from repro.core.table import HashTable
 from repro.obs.export import to_chrome_trace
 from repro.obs.trace import FlightRecorder, Tracer
@@ -178,28 +183,68 @@ class TestEngineTracing:
         finally:
             t.close()
 
-    def test_every_public_op_opens_a_root_span(self):
-        t = HashTable.create(None, in_memory=True)
+    # The access methods through repro.open: hash batches are native (one
+    # aggregate span each), btree/recno batches loop over single ops.
+    _SINGLE = ["put", "get", "delete"]
+    _LOOPED = ["put", "put", "get", "get", "delete"]
+    _TAIL = ["cursor_first", "cursor_next", "sync", "compact"]
+    ROOTS = {
+        "hash": ["bulk_load"] + _SINGLE
+        + ["put_many", "get_many", "delete_many"] + _TAIL,
+        "btree": _SINGLE + _LOOPED + _TAIL,
+        "recno": _SINGLE + _LOOPED + _TAIL,
+        "dbm": ["put", "get", "delete", "sync"],
+        "sdbm": ["put", "get", "delete", "sync"],
+        "gdbm": ["put", "get", "delete", "sync"],
+    }
+    BASELINES = {"dbm": DbmFile, "sdbm": Sdbm, "gdbm": Gdbm}
+
+    @classmethod
+    def _run_ops(cls, kind, path, traced):
+        """Open a fresh ``kind`` database, drive every public op once and
+        return the names of the root spans it recorded."""
+        if kind in cls.BASELINES:
+            db = cls.BASELINES[kind](path, "n")
+        else:
+            db = repro.open(path, "n", type=kind)
         try:
-            t.put(b"a", b"1")
-            t.enable_tracing()
-            t.put(b"b", b"2")
-            t.get(b"a")
-            t.delete(b"b")
-            c = t.cursor()
-            c.first()
-            c.next()
-            t.sync()
-            roots = [
+            if traced:
+                db.enable_tracing()
+            if kind in cls.BASELINES:
+                db.store(b"a", b"1")
+                db.fetch(b"a")
+                db.delete(b"a")
+                db.sync()
+            else:
+                if kind == "recno":
+                    k1, k2 = b"\0" * 7 + b"\1", b"\0" * 7 + b"\2"
+                else:
+                    k1, k2 = b"a", b"b"
+                if kind == "hash":
+                    db.bulk_load([(k2, b"2")])
+                db.put(k1, b"1")
+                db.get(k1)
+                db.delete(k1)
+                db.put_many([(k1, b"1"), (k2, b"2")])
+                db.get_many([k1, k2])
+                db.delete_many([k2])
+                c = db.cursor()
+                c.first()
+                c.next()
+                db.sync()
+                db.compact()
+            return [
                 r["name"]
-                for r in t.flight_recorder.events()
+                for r in db.flight_recorder.events()
                 if r["type"] == "span" and r["parent"] is None
             ]
-            assert roots == [
-                "put", "get", "delete", "cursor_first", "cursor_next", "sync"
-            ]
         finally:
-            t.close()
+            db.close()
+
+    @pytest.mark.parametrize("kind", list(ROOTS))
+    def test_every_public_op_opens_a_root_span(self, kind, tmp_path):
+        assert self._run_ops(kind, tmp_path / "off", traced=False) == []
+        assert self._run_ops(kind, tmp_path / "on", traced=True) == self.ROOTS[kind]
 
     def test_tracing_at_open_records_open_span(self, tmp_path):
         t = HashTable.create(tmp_path / "t.db", tracing=True)
@@ -269,6 +314,75 @@ class TestEngineTracing:
             assert wait["dur"] > 0.0
         finally:
             t.close()
+
+
+class TestOpGate:
+    """Every public op runs through ``TraceSupport._op``: tracing on or
+    off, a failing op counts in its latency histogram, and a failing batch
+    op marks its span and dumps the flight recorder like a single op."""
+
+    @staticmethod
+    def _readonly(path):
+        if not path.exists():
+            HashTable.create(path).close()
+        return HashTable.open_file(path, readonly=True)
+
+    def test_failing_puts_count_the_same_traced_and_untraced(self, tmp_path):
+        counts = []
+        for traced in (False, True):
+            t = self._readonly(tmp_path / "ro.db")
+            try:
+                if traced:
+                    t.enable_tracing()
+                for _ in range(3):
+                    with pytest.raises(ReadOnlyError):
+                        t.put(b"k", b"v")
+                counts.append(t.stat()["ops"]["latency"]["put"]["count"])
+            finally:
+                t.close()
+        assert counts == [3, 3]
+
+    def test_failing_put_many_marks_span_and_dumps(self, tmp_path):
+        t = self._readonly(tmp_path / "ro.db")
+        try:
+            t.enable_tracing()
+            with pytest.raises(ReadOnlyError):
+                t.put_many([(b"k", b"v")])
+            spans = [
+                r for r in t.flight_recorder.events()
+                if r["type"] == "span" and r["name"] == "put_many"
+            ]
+            assert [s["attrs"] for s in spans] == [
+                {"n": 1, "groups": 1, "error": "ReadOnlyError"}
+            ]
+            assert t.flight_recorder.auto_dumped == "exception:ReadOnlyError"
+            assert (tmp_path / "ro.db.flight.json").exists()
+        finally:
+            t.close()
+
+    @pytest.mark.parametrize("kind", ["hash", "btree"])
+    def test_failing_compact_marks_span_and_dumps(self, kind, tmp_path):
+        db = repro.open(tmp_path / "c.db", "n", type=kind)
+        engine = db.table if kind == "hash" else db
+        try:
+            db.put(b"a", b"1")
+            db.enable_tracing()
+
+            def boom():
+                raise OSError("disk full")
+
+            engine._compact_impl = boom
+            with pytest.raises(OSError):
+                db.compact()
+            spans = [
+                r for r in db.flight_recorder.events()
+                if r["type"] == "span" and r["name"] == "compact"
+            ]
+            assert [s["attrs"] for s in spans] == [{"error": "OSError"}]
+            assert db.flight_recorder.auto_dumped == "exception:OSError"
+        finally:
+            del engine._compact_impl
+            db.close()
 
 
 class TestCrashFlightDump:

@@ -140,9 +140,7 @@ class TestSigkillSweep:
             tracer.recorder.clear()
             t._call(0, "ping", ())
             # force a traced op through shard 0 specifically
-            span = t._router_span("probe")
-            t._call(0, "len", (), span)
-            t._end_span(span)
+            t._routed("probe", None, t._call, 0, "len", ())
             cats = {e.get("cat") for e in tracer.recorder.events()}
             assert "shard" in cats, "respawned worker stopped tracing"
         finally:

@@ -297,6 +297,23 @@ class TestTracing:
         finally:
             t.close()
 
+    def test_failing_routed_op_marks_span_and_dumps(self, tmp_path):
+        t = ShardedTable.create(tmp_path / "te.db", shards=2)
+        try:
+            tracer = t.enable_tracing()
+            with pytest.raises(TypeError):
+                t.put(b"k", 12)  # the worker rejects the non-bytes value
+            routers = [
+                e for e in tracer.recorder.events() if e.get("cat") == "router"
+            ]
+            assert [(e["name"], e["attrs"]) for e in routers] == [
+                ("shard.put", {"error": "TypeError"})
+            ]
+            assert tracer.recorder.auto_dumped == "exception:TypeError"
+            assert (tmp_path / "te.db.flight.json").exists()
+        finally:
+            t.close()
+
     def test_disable_tracing(self, tmp_path):
         t = ShardedTable.create(tmp_path / "td.db", shards=1)
         try:
